@@ -22,29 +22,21 @@ import math
 from typing import Any, Iterable, Iterator, List, Tuple
 
 from .partitions import eq2_disk_partitions
-from .split import split_partition
+from .split import norm_key, split_partition
 from .stats import JoinStats
 
 Record = Tuple[Any, int, Any]
 Pair = Tuple[Any, Any]
 
 
-def _key(k: Any) -> Any:
-    if hasattr(k, "item"):
-        k = k.item()
-    if isinstance(k, float) and k.is_integer():
-        k = int(k)
-    return k
-
-
 def naive_hash_join(build: Iterable[Record], probe: Iterable[Record]) -> List[Pair]:
     """Reference equijoin: (build_payload, probe_payload) for key matches."""
     table: dict = {}
     for k, _s, pl in build:
-        table.setdefault(_key(k), []).append(pl)
+        table.setdefault(norm_key(k), []).append(pl)
     out: List[Pair] = []
     for k, _s, pl in probe:
-        for b in table.get(_key(k), ()):
+        for b in table.get(norm_key(k), ()):
             out.append((b, pl))
     return out
 
@@ -68,9 +60,9 @@ def grace_hash_join(build: Iterable[Record], probe: Iterable[Record],
     b_parts: List[List[Record]] = [[] for _ in range(p)]
     p_parts: List[List[Record]] = [[] for _ in range(p)]
     for rec in build:
-        b_parts[split_partition(_key(rec[0]), p, _level)].append(rec)
+        b_parts[split_partition(norm_key(rec[0]), p, _level)].append(rec)
     for rec in probe:
-        p_parts[split_partition(_key(rec[0]), p, _level)].append(rec)
+        p_parts[split_partition(norm_key(rec[0]), p, _level)].append(rec)
     # every partition is written out (one sequential chunk each)
     for pid in range(p):
         for side, parts in (("build", b_parts), ("probe", p_parts)):
@@ -111,7 +103,7 @@ def simple_hash_join(build: Iterable[Record], probe: Iterable[Record],
         b_next: List[Record] = []
         for k, s, pl in b_rest:
             if used + s <= budget:
-                table.setdefault(_key(k), []).append(pl)
+                table.setdefault(norm_key(k), []).append(pl)
                 used += s
             else:
                 b_next.append((k, s, pl))
@@ -120,7 +112,7 @@ def simple_hash_join(build: Iterable[Record], probe: Iterable[Record],
             stats.record_write(n, sum(r[1] for r in b_next), "build", 1, passno)
         p_next: List[Record] = []
         for k, s, pl in p_rest:
-            hits = table.get(_key(k))
+            hits = table.get(norm_key(k))
             if hits is not None:
                 for b in hits:
                     out.append((b, pl))
@@ -160,9 +152,9 @@ def static_hybrid_hash_join(build: Iterable[Record], probe: Iterable[Record],
     b_parts: List[List[Record]] = [[] for _ in range(p)]
     p_parts: List[List[Record]] = [[] for _ in range(p)]
     for rec in build:
-        b_parts[split_partition(_key(rec[0]), p, _level)].append(rec)
+        b_parts[split_partition(norm_key(rec[0]), p, _level)].append(rec)
     for rec in probe:
-        p_parts[split_partition(_key(rec[0]), p, _level)].append(rec)
+        p_parts[split_partition(norm_key(rec[0]), p, _level)].append(rec)
     for pid in range(1, p):
         for side, parts in (("build", b_parts), ("probe", p_parts)):
             if parts[pid]:
@@ -199,7 +191,7 @@ def block_nested_loop_join(build: Iterable[Record], probe: Iterable[Record],
     def flush() -> None:
         for k, _s, pl in probe_cache:
             stats.comparisons += 1
-            for bpl in block.get(_key(k), ()):
+            for bpl in block.get(norm_key(k), ()):
                 out.append((bpl, pl))
 
     for k, s, pl in build:
@@ -207,7 +199,7 @@ def block_nested_loop_join(build: Iterable[Record], probe: Iterable[Record],
         if used + s > block_bytes and block:
             flush()
             block, used = {}, 0
-        block.setdefault(_key(k), []).append(pl)
+        block.setdefault(norm_key(k), []).append(pl)
         used += s
     if block:
         flush()

@@ -16,10 +16,20 @@ Records are ``(key, size_bytes, payload)`` triples. In *stats-only* use
 control flow depends only on keys and sizes, so measurements are
 identical either way. All I/O is accounted in :class:`JoinStats` and the
 actual write trace, which the storage model replays into device times.
+
+The operator reads both inputs, and every spill file it re-reads, in
+chunks of :data:`CHUNK_RECORDS` records and routes a whole chunk to its
+partitions with one :func:`~repro.core.split.split_partitions` call. The
+chunk is the operator's input buffer. Like the input frame of AsterixDB's
+operator, it sits outside the frame budget ``memory_frames``: it holds
+records that have been read but not yet placed in a partition frame, and
+no policy sees it. Keys are normalized once, when a record enters the
+operator; spilled records keep the normalized key.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..frames.partition import Partition
@@ -32,11 +42,14 @@ from ..insertion.policies import make_policy as make_insertion
 from ..victim.policies import VictimContext, VictimPolicy
 from ..victim.policies import make_policy as make_victim
 from .partitions import TABLE1_FUDGE, robust_num_partitions
-from .split import split_partition
+from .split import norm_key, split_partitions
 from .stats import JoinStats
 
 Record = Tuple[Any, int, Any]
 Pair = Tuple[Any, Any]
+
+#: records per input chunk: the operator's input buffer (module docstring)
+CHUNK_RECORDS = 4096
 
 
 @dataclass
@@ -72,13 +85,20 @@ class HHJConfig:
             )
 
 
-def _norm_key(key: Any) -> Any:
-    """Canonicalize keys so 1, 1.0 and np.int64(1) all join together."""
-    if hasattr(key, "item"):
-        key = key.item()
-    if isinstance(key, float) and key.is_integer():
-        key = int(key)
-    return key
+def _chunks(records: Iterable[Record]) -> Iterator[List[Record]]:
+    """Consecutive lists of up to CHUNK_RECORDS records."""
+    it = iter(records)
+    while chunk := list(islice(it, CHUNK_RECORDS)):
+        yield chunk
+
+
+def _entry_chunks(records: Iterable[Record]) -> Iterator[List[Record]]:
+    """Input chunks with normalized keys; a chunk of plain ints is as given."""
+    for chunk in _chunks(records):
+        if {type(r[0]) for r in chunk} <= {int}:
+            yield chunk
+        else:
+            yield [(norm_key(k), size, payload) for k, size, payload in chunk]
 
 
 class DynamicHybridHashJoin:
@@ -119,7 +139,7 @@ class DynamicHybridHashJoin:
     # -- public API ------------------------------------------------------
     def run(self, build: Iterable[Record], probe: Iterable[Record]) -> Iterator[Pair]:
         """Execute the join; yields (build_payload, probe_payload) pairs."""
-        yield from self._round(iter(build), iter(probe), level=0,
+        yield from self._round(_entry_chunks(build), _entry_chunks(probe), level=0,
                                build_frames=None, probe_frames=None,
                                parent_build_frames=None, swapped=False)
 
@@ -138,15 +158,13 @@ class DynamicHybridHashJoin:
         p = min(p, cfg.memory_frames)
         partitions = self._new_partitions(p)
         pool = BufferPool(cfg.memory_frames)
-        for key, size, payload in build:
-            self._insert(_norm_key(key), size, payload, partitions, pool,
-                         p, level=0, phase="build")
+        self._build(_entry_chunks(build), partitions, pool, level=0)
         self._flush_spilled_tails(partitions, pool, "build", 0)
         self._collect_search_stats(partitions)
         return partitions
 
     # -- one round -------------------------------------------------------
-    def _round(self, build: Iterator[Record], probe: Iterator[Record],
+    def _round(self, build: Iterator[List[Record]], probe: Iterator[List[Record]],
                level: int, build_frames: Optional[int], probe_frames: Optional[int],
                parent_build_frames: Optional[int], swapped: bool) -> Iterator[Pair]:
         cfg = self.cfg
@@ -179,11 +197,7 @@ class DynamicHybridHashJoin:
         pool = BufferPool(cfg.memory_frames)
 
         # ---------------- build phase ----------------
-        build_bytes = 0
-        for key, size, payload in build:
-            key = _norm_key(key)
-            build_bytes += size
-            self._insert(key, size, payload, partitions, pool, p, level, "build")
+        build_bytes = self._build(build, partitions, pool, level)
         this_build_frames = max(1, -(-build_bytes // cfg.frame_bytes))
 
         self._flush_spilled_tails(partitions, pool, "build", level)
@@ -206,21 +220,23 @@ class DynamicHybridHashJoin:
             if probe_bufs[q.pid] is None:
                 pool.allocate(1)
                 probe_bufs[q.pid] = q.new_frame()
-        for key, size, payload in probe:
-            key = _norm_key(key)
-            self.stats.records_processed += 1
-            pid = split_partition(key, p, level)
-            if pid in probe_files:
-                buf = probe_bufs[pid]
-                if not buf.fits(size):
-                    probe_files[pid].write_frame(buf.records, cfg.frame_bytes)
-                    self.stats.record_write(1, buf.used, "probe", pid, level)
-                    buf.clear()
-                buf.insert(size, (key, payload))
-            else:
-                self.stats.hash_probes += 1
-                for bpayload in table.get(key, ()):
-                    yield (bpayload, payload) if not swapped else (payload, bpayload)
+        stats = self.stats
+        for chunk in probe:
+            stats.records_processed += len(chunk)
+            pids = split_partitions([r[0] for r in chunk], p, level)
+            for (key, size, payload), pid in zip(chunk, pids):
+                if pid in probe_files:
+                    buf = probe_bufs[pid]
+                    if not buf.fits(size):
+                        probe_files[pid].write_frame(buf.records, cfg.frame_bytes)
+                        stats.record_write(1, buf.used, "probe", pid, level)
+                        buf.clear()
+                    buf.insert(size, (key, payload))
+                else:
+                    stats.hash_probes += 1
+                    for bpayload in table.get(key, ()):
+                        yield ((bpayload, payload) if not swapped
+                               else (payload, bpayload))
         for pid, buf in probe_bufs.items():
             if buf.used > 0:
                 probe_files[pid].write_frame(buf.records, cfg.frame_bytes)
@@ -242,8 +258,8 @@ class DynamicHybridHashJoin:
                 pfile.close()
                 continue
             self.stats.frames_read += b_frames + p_frames
-            b_records = self._spill_records(bfile)
-            p_records = self._spill_records(pfile)
+            b_records = self._spill_chunks(bfile)
+            p_records = self._spill_chunks(pfile)
             child_build, child_probe = b_records, p_records
             child_bf, child_pf = b_frames, p_frames
             child_swapped = swapped
@@ -262,33 +278,44 @@ class DynamicHybridHashJoin:
         self._collect_search_stats(partitions)
 
     @staticmethod
-    def _spill_records(spill_file) -> Iterator[Record]:
-        """Replay a spill file as (key, size, payload) records.
+    def _spill_chunks(spill_file) -> Iterator[List[Record]]:
+        """Replay a spill file as chunks of (key, size, payload) records.
 
         Frames store records as ``(size, (key, payload))`` — the key is
         retained in the stored payload exactly so spilled data can be
-        re-partitioned in later rounds (see ``_insert``).
+        re-partitioned in later rounds (see ``_insert``). It is already
+        normalized.
         """
-        for size, (key, payload) in spill_file.read_all():
-            yield key, size, payload
+        return _chunks((key, size, payload)
+                       for size, (key, payload) in spill_file.read_all())
 
     # -- record insertion (build side) -----------------------------------
-    def _insert(self, key: Any, size: int, payload: Any,
-                partitions: List[Partition], pool: BufferPool, p: int,
-                level: int, phase: str) -> None:
+    def _build(self, build: Iterator[List[Record]], partitions: List[Partition],
+               pool: BufferPool, level: int) -> int:
+        """Route every build record to its partition; returns the bytes read."""
+        p = len(partitions)
+        build_bytes = 0
+        for chunk in build:
+            pids = split_partitions([r[0] for r in chunk], p, level)
+            for (key, size, payload), pid in zip(chunk, pids):
+                build_bytes += size
+                self._insert(key, pid, size, payload, partitions, pool, level)
+        return build_bytes
+
+    def _insert(self, key: Any, pid: int, size: int, payload: Any,
+                partitions: List[Partition], pool: BufferPool,
+                level: int) -> None:
         cfg = self.cfg
         if size > cfg.frame_bytes:
             raise ValueError(
                 f"record of {size} B exceeds frame size {cfg.frame_bytes} B"
             )
         self.stats.records_processed += 1
-        pid = split_partition(key, p, level)
         part = partitions[pid]
         stored = (key, payload)  # spill files must retain the key for re-partitioning
 
         if part.spilled:
-            self._insert_spilled(part, key, size, stored, partitions, pool,
-                                 level, phase)
+            self._insert_spilled(part, size, stored, partitions, pool, level)
             return
 
         idx = part.insertion.find_frame(part.frames, size)
@@ -303,26 +330,26 @@ class DynamicHybridHashJoin:
             if not (has_resident or has_grown):
                 raise MemoryError(
                     "cannot free memory: all partitions spilled and pool full "
-                    f"(budget={pool.budget}, P={p})"
+                    f"(budget={pool.budget}, P={len(partitions)})"
                 )
-            ctx = VictimContext(pid, sum(1 for q in partitions if q.spilled), p)
+            ctx = VictimContext(pid, sum(1 for q in partitions if q.spilled),
+                                len(partitions))
             self.growth.free_memory(partitions, ctx, pool, self.victim,
-                                    self.stats, phase, level)
+                                    self.stats, "build", level)
             if part.spilled:
                 # our own partition was victimized while freeing memory
-                self._insert_spilled(part, key, size, stored, partitions, pool,
-                                     level, phase)
+                self._insert_spilled(part, size, stored, partitions, pool, level)
                 return
         pool.allocate(1)
         part.new_frame().insert(size, stored)
         part.insertion.notify_inserted(part.num_frames - 1, size, appended=True)
 
-    def _insert_spilled(self, part: Partition, key: Any, size: int, stored: Any,
+    def _insert_spilled(self, part: Partition, size: int, stored: Any,
                         partitions: List[Partition], pool: BufferPool,
-                        level: int, phase: str) -> None:
+                        level: int) -> None:
         ok = self.growth.insert_into_spilled(part, size, stored, pool,
                                              part.insertion, self.stats,
-                                             phase, level)
+                                             "build", level)
         while not ok:
             has_resident = any(not q.spilled and q.num_frames >= 1 for q in partitions)
             has_grown = any(q.spilled and q.num_frames > 1 for q in partitions)
@@ -331,15 +358,15 @@ class DynamicHybridHashJoin:
                                     sum(1 for q in partitions if q.spilled),
                                     len(partitions))
                 self.growth.free_memory(partitions, ctx, pool, self.victim,
-                                        self.stats, phase, level)
+                                        self.stats, "build", level)
             elif part.num_frames >= 1:
                 # last resort: recycle our own (full) buffer via a flush
-                self.growth.flush_spilled(part, pool, self.stats, phase, level)
+                self.growth.flush_spilled(part, pool, self.stats, "build", level)
             else:
                 raise MemoryError("spilled-partition insert cannot make progress")
             ok = self.growth.insert_into_spilled(part, size, stored, pool,
                                                  part.insertion, self.stats,
-                                                 phase, level)
+                                                 "build", level)
 
     # -- build-phase epilogue --------------------------------------------
     def _flush_spilled_tails(self, partitions: List[Partition], pool: BufferPool,
@@ -367,10 +394,7 @@ class DynamicHybridHashJoin:
             if need * cfg.fudge > pool.free:
                 continue
             records = list(q.spill_file.read_all())
-            self.stats.frames_read += need
-            self.stats.frames_reloaded += need
             ok = True
-            q.spilled = False
             for size, stored in records:
                 idx = q.insertion.find_frame(q.frames, size)
                 if idx is not None:
@@ -384,15 +408,21 @@ class DynamicHybridHashJoin:
                 q.new_frame().insert(size, stored)
                 q.insertion.notify_inserted(q.num_frames - 1, size, appended=True)
             if ok:
+                q.spilled = False
                 q.spill_file.close()
                 q.spill_file = None
                 q.records_spilled = 0
                 q.bytes_spilled = 0
+                self.stats.frames_read += need
+                self.stats.frames_reloaded += need
             else:
-                # does not fit after all: push everything back out
-                self.growth.flush_spilled(q, pool, self.stats, "build", level,
-                                          keep_buffer=False)
-                q.spilled = True
+                # Does not fit after all (loosely packed frames). The spill
+                # file still holds every record, so drop the partial copy
+                # rather than writing it out a second time.
+                pool.release(q.num_frames)
+                q.frames = []
+                q.insertion.notify_spilled()
+                self.stats.reload_failures += 1
 
     def _reserve_probe_buffers(self, partitions: List[Partition],
                                pool: BufferPool, level: int) -> None:
@@ -427,23 +457,22 @@ class DynamicHybridHashJoin:
                 pol.reset_stats()
 
     # -- fallback operators ----------------------------------------------
-    def _in_memory_join(self, build: Iterator[Record], probe: Iterator[Record],
+    def _in_memory_join(self, build: Iterator[List[Record]],
+                        probe: Iterator[List[Record]],
                         swapped: bool) -> Iterator[Pair]:
         """§8.3: skip partitioning, hash the whole build input directly."""
         self.stats.in_memory_rounds += 1
         table: dict = {}
-        for key, size, payload in build:
-            key = _norm_key(key)
+        for key, size, payload in chain.from_iterable(build):
             self.stats.records_processed += 1
             table.setdefault(key, []).append(payload)
-        for key, size, payload in probe:
-            key = _norm_key(key)
+        for key, size, payload in chain.from_iterable(probe):
             self.stats.records_processed += 1
             self.stats.hash_probes += 1
             for bpayload in table.get(key, ()):
                 yield (bpayload, payload) if not swapped else (payload, bpayload)
 
-    def _bnlj(self, build: Iterator[Record], probe: Iterator[Record],
+    def _bnlj(self, build: Iterator[List[Record]], probe: Iterator[List[Record]],
               level: int, swapped: bool) -> Iterator[Pair]:
         """§8.1 bail-out: block-nested-loop equijoin.
 
@@ -456,19 +485,17 @@ class DynamicHybridHashJoin:
         self.stats.bnlj_rounds += 1
         cfg = self.cfg
         block_bytes = max(cfg.frame_bytes, (cfg.memory_frames - 2) * cfg.frame_bytes)
-        probe_cache: List[Record] = list(probe)
+        probe_cache: List[Record] = list(chain.from_iterable(probe))
         block: dict = {}
         used = 0
 
         def flush_block() -> Iterator[Pair]:
             for pkey, psize, ppayload in probe_cache:
-                pkey = _norm_key(pkey)
                 self.stats.comparisons += 1
                 for bpayload in block.get(pkey, ()):
                     yield (bpayload, ppayload) if not swapped else (ppayload, bpayload)
 
-        for key, size, payload in build:
-            key = _norm_key(key)
+        for key, size, payload in chain.from_iterable(build):
             self.stats.records_processed += 1
             if used + size > block_bytes and block:
                 yield from flush_block()

@@ -59,6 +59,7 @@ class JoinStats:
     # reads during later rounds / reload
     frames_reloaded: int = 0
     frames_read: int = 0
+    reload_failures: int = 0     # §8.5 reloads abandoned for lack of frames
 
     # control flow
     rounds: int = 0

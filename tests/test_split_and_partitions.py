@@ -10,7 +10,12 @@ from repro.core.partitions import (
     robust_num_partitions,
     shapiro_num_partitions,
 )
-from repro.core.split import bucket_hash, split_partition, stable_hash
+from repro.core.split import (
+    bucket_hash,
+    split_partition,
+    split_partitions,
+    stable_hash,
+)
 from repro.experiments.table1 import PAPER_TABLE1
 
 
@@ -59,12 +64,46 @@ class TestSplitPartition:
     def test_invalid_partitions(self):
         with pytest.raises(ValueError):
             split_partition(1, 0)
+        with pytest.raises(ValueError):
+            split_partitions([1], 0)
 
     def test_bucket_hash_differs_from_split(self):
         vals = {k: (split_partition(k, 16, 0), bucket_hash(k, 0) % 16)
                 for k in range(1000)}
         agree = sum(1 for a, b in vals.values() if a == b)
         assert agree < 300   # independent-ish
+
+
+_RNG = np.random.default_rng(7)
+BATCH_KEYS = {
+    "int64 extremes": [-(2**63), 2**63 - 1, -(2**63) + 1, 2**63 - 2, 0, 1, -1],
+    "negative ints": list(range(-500, 0)),
+    "above 2**63": [2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**70 + 3, -(2**63) - 1],
+    "ints then 2**63": list(range(100)) + [2**63],
+    "random int64": [int(k) for k in _RNG.integers(-(2**63), 2**63 - 1, 3000)],
+    "bools": [True, False, True],
+    "ints and bools": [1, True, 0, False, -5, 2**40],
+    "integral floats": [1.0, -3.0, 0.0, 2.0**53, 2.0**70],
+    "non-integral floats": [1.5, -2.25, float("nan")],
+    "numpy ints": [np.int64(7), np.int32(-3), np.uint64(2**63 + 1), np.int8(-128)],
+    "str": ["abc", "12", "-7", ""],
+    "bytes": [b"abc", b"12", b""],
+    "ints with a str": list(range(100)) + ["x"] + list(range(100, 200)),
+    "empty": [],
+}
+
+
+class TestSplitPartitions:
+    """The batch routing path equals the scalar definition elementwise."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_KEYS))
+    def test_equals_scalar(self, name):
+        keys = BATCH_KEYS[name]
+        for level in range(4):
+            for p in (2, 7, 20, 64):
+                got = split_partitions(keys, p, level)
+                assert got == [split_partition(k, p, level) for k in keys]
+                assert all(type(pid) is int for pid in got)
 
 
 class TestEq2:
