@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """Run the Dynamic HHJ operator inside Spark executors on TPC-H-lite.
 
-Joins customer ⋈ orders and orders ⋈ lineitem with a deliberately tiny
-per-partition frame budget (forcing spills and recursion inside the
-executors) and verifies both results against the DuckDB oracle.
+Joins customer ⋈ orders and orders ⋈ lineitem with a 64 × 4 KB frame
+budget per partition pair and verifies both results against the DuckDB
+oracle. At the default SF 0.01, customer ⋈ orders fits that budget and
+spills nothing; orders ⋈ lineitem spills and recurses inside the
+executors.
 
 Run: ``spark-submit jobs/spark_dynamic_hhj.py [sf]`` or plain
 ``python jobs/spark_dynamic_hhj.py``.

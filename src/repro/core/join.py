@@ -101,6 +101,19 @@ def _entry_chunks(records: Iterable[Record]) -> Iterator[List[Record]]:
             yield [(norm_key(k), size, payload) for k, size, payload in chunk]
 
 
+def _check_budget(partitions: List[Partition], pool: BufferPool) -> None:
+    """Every frame the pool counts is held by a partition, and none more.
+
+    A policy that drops a partition's frames without releasing them, or
+    allocates frames it never hands to a partition, breaks the budget the
+    operator advertises; raise rather than ``assert``, which ``-O`` strips.
+    """
+    held = sum(q.num_frames for q in partitions)
+    if pool.allocated != held:
+        raise RuntimeError(f"buffer pool counts {pool.allocated} frames but "
+                           f"partitions hold {held}")
+
+
 class DynamicHybridHashJoin:
     """One (multi-round) Dynamic HHJ execution with its statistics."""
 
@@ -159,6 +172,7 @@ class DynamicHybridHashJoin:
         partitions = self._new_partitions(p)
         pool = BufferPool(cfg.memory_frames)
         self._build(_entry_chunks(build), partitions, pool, level=0)
+        _check_budget(partitions, pool)
         self._flush_spilled_tails(partitions, pool, "build", 0)
         self._collect_search_stats(partitions)
         return partitions
@@ -198,6 +212,7 @@ class DynamicHybridHashJoin:
 
         # ---------------- build phase ----------------
         build_bytes = self._build(build, partitions, pool, level)
+        _check_budget(partitions, pool)
         this_build_frames = max(1, -(-build_bytes // cfg.frame_bytes))
 
         self._flush_spilled_tails(partitions, pool, "build", level)

@@ -9,48 +9,101 @@ into N partition pairs (``pmod(xxhash64(key), N)``), and
 frame budget, insertion/victim/growth policies, and real tempfile spills
 — inside the executor for each pair.
 
+Memory model: ``cogroup`` hands each partition pair to the executor's
+Python worker as two pandas frames, so one cogroup group is resident in
+full. The operator's records are ``(key, nominal size, row index)``: its
+frames and its spill files hold keys and row positions in those frames,
+not the rows, and each row is charged its nominal size. The frame budget
+therefore drives the paper's spill decisions (which partitions spill,
+how many frames and write operations), not executor memory. The operator
+returns pairs of row indices, and the output is assembled column by
+column with ``take`` on the two frames.
+
 The result is a plain DataFrame, so Catalyst plans everything around the
 operator; the operator itself is the paper's contribution and lives at
 the record level where the paper defines it.
 """
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import dataclasses
+from itertools import chain
+from typing import List, Optional, Tuple
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import StructField, StructType
 
 from .join import DynamicHybridHashJoin, HHJConfig
+from .stats import JoinStats
 
 _PART_COL = "__hhj_part"
 
 
 def _output_schema(build: DataFrame, probe: DataFrame,
-                   suffix: str) -> Tuple[StructType, list, list]:
-    """Build-side fields plus probe-side fields, renaming collisions."""
+                   suffix: str) -> Tuple[StructType, List[str]]:
+    """Build-side fields plus probe-side fields, renaming collisions;
+    returns the schema and its column names."""
     bfields = list(build.schema.fields)
     bnames = {f.name for f in bfields}
     pfields = []
-    pnames = []
     for f in probe.schema.fields:
         name = f.name
         while name in bnames:
             name = name + suffix
-        pnames.append(name)
         pfields.append(StructField(name, f.dataType, True))
         bnames.add(name)
-    return StructType(bfields + pfields), [f.name for f in bfields], pnames
+    schema = StructType(bfields + pfields)
+    return schema, [f.name for f in schema.fields]
 
 
-def _estimate_sizes(pdf: pd.DataFrame, size_column: Optional[str]) -> list:
-    """Per-row byte sizes: the explicit size column, or a deep estimate."""
+def _estimate_sizes(pdf: pd.DataFrame, size_column: Optional[str],
+                    frame_bytes: int) -> list:
+    """Per-row byte sizes: the explicit size column, or a deep estimate.
+
+    An explicit size larger than a frame is an error, as it is for the
+    record-level operator. The estimate gives every row the frame's
+    average deep memory footprint (at least 64 B), clipped to the frame
+    size: it is a nominal charge, not a size the caller asked for.
+    """
     if size_column is not None and size_column in pdf.columns:
-        return [int(s) for s in pdf[size_column]]
+        sizes = [int(s) for s in pdf[size_column].tolist()]
+        largest = max(sizes, default=0)
+        if largest > frame_bytes:
+            raise ValueError(f"{size_column} = {largest} B exceeds frame size "
+                             f"{frame_bytes} B")
+        return sizes
     n = max(1, len(pdf))
     per_row = max(64, int(pdf.memory_usage(deep=True).sum() / n))
-    return [per_row] * len(pdf)
+    return [min(per_row, frame_bytes)] * len(pdf)
+
+
+def _join_pair(bpdf: pd.DataFrame, ppdf: pd.DataFrame,
+               build_key: str, probe_key: str, cfg: HHJConfig,
+               out_cols: List[str],
+               size_column: Optional[str] = None) -> Tuple[pd.DataFrame, JoinStats]:
+    """Join one partition pair with the Dynamic HHJ operator.
+
+    Records are ``(key, size, row index)``; the operator returns
+    ``(build index, probe index)`` pairs, and the result is the build rows
+    taken by the first and the probe rows taken by the second, side by
+    side under ``out_cols``. The operator does not run when a side is
+    empty. Returns the result and the operator's stats.
+    """
+    fb = cfg.frame_bytes
+    build = zip(bpdf[build_key].tolist(), _estimate_sizes(bpdf, size_column, fb),
+                range(len(bpdf)))
+    probe = zip(ppdf[probe_key].tolist(), _estimate_sizes(ppdf, size_column, fb),
+                range(len(ppdf)))
+    op = DynamicHybridHashJoin(cfg)
+    pairs = op.run_collect(build, probe) if len(bpdf) and len(ppdf) else []
+    idx = np.fromiter(chain.from_iterable(pairs), np.int64,
+                      2 * len(pairs)).reshape(-1, 2)
+    out = pd.concat([bpdf.take(idx[:, 0]).reset_index(drop=True),
+                     ppdf.take(idx[:, 1]).reset_index(drop=True)], axis=1)
+    out.columns = out_cols
+    return out, op.stats
 
 
 def dynamic_hhj_join(build: DataFrame, probe: DataFrame,
@@ -66,8 +119,9 @@ def dynamic_hhj_join(build: DataFrame, probe: DataFrame,
     ``num_spark_partitions`` is the cluster-level hash fan-out (defaults
     to the session's shuffle parallelism). ``size_column`` names an
     integer column carrying each record's nominal size in bytes (the
-    Wisconsin datasets provide one); otherwise sizes are estimated from
-    the pandas memory footprint.
+    Wisconsin datasets provide one); a size above ``cfg.frame_bytes``
+    raises ``ValueError``. Otherwise sizes are estimated from the pandas
+    memory footprint.
 
     Returns all build columns followed by all probe columns (collisions
     suffixed). Inner-join semantics: null keys never match.
@@ -78,38 +132,18 @@ def dynamic_hhj_join(build: DataFrame, probe: DataFrame,
     n = num_spark_partitions or int(
         spark.conf.get("spark.sql.shuffle.partitions", "16")
     )
-    out_schema, bnames, pnames = _output_schema(build, probe, suffix)
+    out_schema, out_cols = _output_schema(build, probe, suffix)
     b = (build.where(F.col(build_key).isNotNull())
               .withColumn(_PART_COL, F.pmod(F.xxhash64(F.col(build_key)), F.lit(n))))
     p = (probe.where(F.col(probe_key).isNotNull())
               .withColumn(_PART_COL, F.pmod(F.xxhash64(F.col(probe_key)), F.lit(n))))
-
-    bkey_idx = bnames.index(build_key)
-    pkey_idx = [f.name for f in probe.schema.fields].index(probe_key)
-    # capture plain config values; HHJConfig is a simple dataclass and
-    # pickles fine, but force disk spill inside executors regardless
-    cfg_dict = dict(cfg.__dict__)
-    cfg_dict["use_disk_spill"] = True
+    # executors always spill to real tempfiles
+    pair_cfg = dataclasses.replace(cfg, use_disk_spill=True)
 
     def join_pair(bpdf: pd.DataFrame, ppdf: pd.DataFrame) -> pd.DataFrame:
-        out_cols = bnames + pnames
-        if len(bpdf) == 0 or len(ppdf) == 0:
-            return pd.DataFrame({c: pd.Series(dtype="object") for c in out_cols})
-        bpdf = bpdf.drop(columns=[_PART_COL])
-        ppdf = ppdf.drop(columns=[_PART_COL])
-        fb = cfg_dict["frame_bytes"]
-        bsizes = [min(s, fb) for s in _estimate_sizes(bpdf, size_column)]
-        psizes = [min(s, fb) for s in _estimate_sizes(ppdf, size_column)]
-        brows = list(bpdf.itertuples(index=False, name=None))
-        prows = list(ppdf.itertuples(index=False, name=None))
-        build_recs = ((row[bkey_idx], bsizes[i], row) for i, row in enumerate(brows))
-        probe_recs = ((row[pkey_idx], psizes[i], row) for i, row in enumerate(prows))
-        op = DynamicHybridHashJoin(HHJConfig(**cfg_dict))
-        pairs = op.run_collect(build_recs, probe_recs)
-        if not pairs:
-            return pd.DataFrame({c: pd.Series(dtype="object") for c in out_cols})
-        data = [brow + prow for brow, prow in pairs]
-        return pd.DataFrame(data, columns=out_cols)
+        return _join_pair(bpdf.drop(columns=[_PART_COL]),
+                          ppdf.drop(columns=[_PART_COL]), build_key, probe_key,
+                          pair_cfg, out_cols, size_column)[0]
 
     return (b.groupBy(_PART_COL)
              .cogroup(p.groupBy(_PART_COL))

@@ -6,8 +6,9 @@ Two implementations behind one interface:
   the driver-side experiment harnesses where only the *write trace*
   matters and re-reading must be fast.
 * :class:`DiskSpillFile` pickles frame batches to a real temporary file —
-  used by the Spark-executor operator so a partition pair larger than the
-  configured budget does not balloon executor memory.
+  used by the operator inside Spark executors, so its spills are real
+  file I/O. There the records are ``(key, row index)`` pairs: the rows
+  themselves stay in the resident pandas frames (``core.spark_join``).
 
 Both count frames and bytes written so the I/O accounting (and hence the
 storage model) sees identical traces.

@@ -17,6 +17,7 @@ from repro.core.join import (
     dynamic_hash_join,
 )
 from repro.frames.pool import BufferPool
+from repro.growth.policies import NoGrowNoSteal
 from repro.insertion import default_policies as insertion_policies
 from repro.victim import default_policies as victim_policies
 
@@ -301,6 +302,37 @@ class TestEdgeCases:
                                                num_partitions=4,
                                                min_partitions=4))
         assert pairs == [("b", "p")]
+
+
+class LeakyGrowth(NoGrowNoSteal):
+    """NG-NS that takes one frame from the pool on its first eviction
+    and never hands it to a partition."""
+
+    leaked = False
+
+    def free_memory(self, partitions, ctx, pool, victim, stats,
+                    phase, round_no) -> int:
+        freed = super().free_memory(partitions, ctx, pool, victim, stats,
+                                    phase, round_no)
+        if freed and not self.leaked:
+            pool.allocate(1)
+            self.leaked = True
+        return freed
+
+
+class TestBudgetInvariant:
+    @pytest.mark.parametrize("entry", ["run", "build_only"])
+    def test_leaked_frame_raises(self, entry):
+        build, probe = small_inputs()
+        op = DynamicHybridHashJoin(HHJConfig(memory_frames=8, frame_bytes=FRAME,
+                                             num_partitions=4, min_partitions=4))
+        op.growth = LeakyGrowth()
+        with pytest.raises(RuntimeError, match="partitions hold"):
+            if entry == "run":
+                op.run_collect(build, probe)
+            else:
+                op.build_only(build)
+        assert op.growth.leaked
 
 
 class TestConfigValidation:

@@ -1,15 +1,24 @@
 """Spark-executor integration tests: the Dynamic HHJ operator runs inside
 ``cogroup(...).applyInPandas`` and every result is checked against DuckDB.
 
-The frame budgets are deliberately tiny so the executor-side operator
-actually spills, recurses, and (in one case) bails out — "it ran" is not
-the bar; byte-identical results with DuckDB are.
+The frame budgets are tiny, but most of these joins still fit in memory.
+Replaying each case's partition pairs through ``_join_pair`` shows that
+orders ⋈ lineitem, lineitem ⋈ orders (with role reversal) and the skewed
+Wisconsin join spill and recurse; customer ⋈ orders, part ⋈ lineitem and
+the unskewed Wisconsin join spill nothing, and no case reaches the BNLJ
+bail-out. "It ran" is not the bar; results identical to DuckDB's are.
+
+``TestJoinPair`` runs one partition pair through ``_join_pair`` without
+Spark and compares every column with ``pandas.merge``.
 """
+import numpy as np
+import pandas as pd
 import pytest
+from pyspark.errors import PythonException
 
 from repro import synth_data
 from repro.core.join import HHJConfig
-from repro.core.spark_join import dynamic_hhj_join
+from repro.core.spark_join import _join_pair, dynamic_hhj_join
 from repro.oracle import assert_equivalent
 
 SF = 0.004
@@ -50,6 +59,19 @@ class TestOracleJoins:
             out.select("o_orderkey", "l_partkey", "l_quantity"),
             "SELECT o_orderkey, l_partkey, l_quantity FROM orders o "
             "JOIN lineitem l ON o.o_orderkey = l.l_orderkey",
+            orders=tpch["orders"], lineitem=tpch["lineitem"])
+
+    def test_lineitem_orders_all_columns(self, tpch):
+        """lineitem as build spills, and most spilled partitions recurse with
+        roles reversed; every column, dates and strings included, must
+        survive the assembly."""
+        out = dynamic_hhj_join(tpch["lineitem"], tpch["orders"],
+                               "l_orderkey", "o_orderkey", tight_cfg(),
+                               num_spark_partitions=4)
+        assert_equivalent(
+            out,
+            "SELECT l.*, o.* FROM lineitem l "
+            "JOIN orders o ON l.l_orderkey = o.o_orderkey",
             orders=tpch["orders"], lineitem=tpch["lineitem"])
 
     def test_part_lineitem(self, tpch):
@@ -132,6 +154,17 @@ class TestWisconsinSpark:
             "p.unique2 AS unique2_r FROM b JOIN p ON b.unique1 = p.unique1",
             b=b, p=p)
 
+    def test_record_larger_than_frame_rejected(self, spark):
+        b = spark.createDataFrame(pd.DataFrame({"k": [1, 2, 3],
+                                                "rec_bytes": [100, 5000, 100]}))
+        p = spark.createDataFrame(pd.DataFrame({"k": [1, 2, 3]}))
+        out = dynamic_hhj_join(b, p, "k", "k",
+                               HHJConfig(memory_frames=8, frame_bytes=4096),
+                               num_spark_partitions=1, size_column="rec_bytes")
+        with pytest.raises(PythonException,
+                           match="rec_bytes = 5000 B exceeds frame size 4096 B"):
+            out.collect()
+
 
 class TestSchemaHandling:
     def test_column_collisions_suffixed(self, spark):
@@ -165,3 +198,87 @@ class TestSchemaHandling:
                                          num_partitions=4, min_partitions=4),
                                num_spark_partitions=2)
         assert out.count() == 0
+
+
+def pair_frames(seed, n_build=3000, n_probe=750):
+    """A build frame with about four rows per key and a unique-key probe
+    frame; ``k`` and ``v`` collide."""
+    rng = np.random.default_rng(seed)
+
+    def floats(n):
+        v = rng.random(n).round(3)
+        v[rng.random(n) < 0.1] = np.nan
+        return v
+
+    def strings(choices, n):
+        s = rng.choice(choices, n).astype(object)
+        s[rng.random(n) < 0.05] = None
+        return s
+
+    build = pd.DataFrame({
+        "k": rng.integers(0, n_probe, n_build),
+        "v": floats(n_build),
+        "flag": strings(["N", "R", "A"], n_build),
+        "when": pd.Timestamp("1992-01-01")
+        + pd.to_timedelta(rng.integers(0, 2500, n_build), unit="D"),
+        "bid": np.arange(n_build),
+    })
+    probe = pd.DataFrame({
+        "k": rng.permutation(n_probe),
+        "v": floats(n_probe),
+        "note": strings(["1-URGENT", "2-HIGH", "3-MEDIUM"], n_probe),
+        "pid": np.arange(n_probe),
+    })
+    return build, probe
+
+
+#: stats.summary() of each case, recorded with the row tuples as payloads
+#: (the conversion that row indices replaced); keys and sizes are the same
+PAIR_GOLDEN = {
+    (0, 48): {
+        "build_bytes_spilled": 165616, "probe_bytes_spilled": 32164,
+        "total_bytes_spilled": 197780, "build_frames_spilled": 51,
+        "probe_frames_spilled": 9, "partitions_spilled": 11,
+        "frames_searched": 3014, "records_processed": 5675,
+        "seq_write_ops": 11, "rand_write_ops": 22, "seq_frames_written": 38,
+        "rand_frames_written": 22, "frames_read": 60, "rounds": 1,
+        "bnlj_rounds": 0, "in_memory_rounds": 9, "role_reversals": 9,
+    },
+    (1, 24): {
+        "build_bytes_spilled": 293128, "probe_bytes_spilled": 59856,
+        "total_bytes_spilled": 352984, "build_frames_spilled": 101,
+        "probe_frames_spilled": 18, "partitions_spilled": 22,
+        "frames_searched": 1792, "records_processed": 7239,
+        "seq_write_ops": 22, "rand_write_ops": 68, "seq_frames_written": 51,
+        "rand_frames_written": 68, "frames_read": 119, "rounds": 1,
+        "bnlj_rounds": 0, "in_memory_rounds": 18, "role_reversals": 18,
+    },
+}
+PAIR_COLS = ["k", "v", "flag", "when", "bid", "k_r", "v_r", "note", "pid"]
+
+
+class TestJoinPair:
+    """One partition pair through ``_join_pair``, no Spark session."""
+
+    @pytest.mark.parametrize("seed,frames", sorted(PAIR_GOLDEN))
+    def test_equals_pandas_merge(self, tmp_path, seed, frames):
+        build, probe = pair_frames(seed)
+        cfg = tight_cfg(memory_frames=frames, use_disk_spill=True,
+                        spill_dir=str(tmp_path))
+        got, stats = _join_pair(build, probe, "k", "k", cfg, PAIR_COLS)
+        assert stats.total_bytes_spilled > 0 and stats.role_reversals > 0
+        assert stats.summary() == PAIR_GOLDEN[(seed, frames)]
+        want = build.merge(probe.set_axis(PAIR_COLS[5:], axis=1),
+                           left_on="k", right_on="k_r")
+        assert list(got.columns) == PAIR_COLS
+        pd.testing.assert_frame_equal(
+            got.sort_values(["bid", "pid"]).reset_index(drop=True),
+            want.sort_values(["bid", "pid"]).reset_index(drop=True))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_side_keeps_dtypes(self):
+        build, probe = pair_frames(0, n_build=10, n_probe=10)
+        got, stats = _join_pair(build, probe.iloc[:0], "k", "k",
+                                tight_cfg(), PAIR_COLS)
+        assert len(got) == 0 and stats.records_processed == 0
+        assert list(got.dtypes) == list(build.dtypes) + list(probe.dtypes)
