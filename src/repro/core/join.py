@@ -14,8 +14,11 @@ with every design knob the paper studies made pluggable:
 Records are ``(key, size_bytes, payload)`` triples. In *stats-only* use
 (the experiment harnesses) payloads may be ``None``; the operator's
 control flow depends only on keys and sizes, so measurements are
-identical either way. All I/O is accounted in :class:`JoinStats` and the
-actual write trace, which the storage model replays into device times.
+identical either way. Each record is stored once: frames, probe buffers
+and spill files hold the tuples the operator was given (or re-read from
+a spill file), never a re-wrapped copy. All I/O is accounted in
+:class:`JoinStats` and the actual write trace, which the storage model
+replays into device times.
 
 The operator reads both inputs, and every spill file it re-reads, in
 chunks of :data:`CHUNK_RECORDS` records and routes a whole chunk to its
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
+from ..frames.frame import Record
 from ..frames.partition import Partition
 from ..frames.pool import BufferPool
 from ..frames.spillfile import DiskSpillFile, MemorySpillFile
@@ -45,7 +49,6 @@ from .partitions import TABLE1_FUDGE, robust_num_partitions
 from .split import norm_key, split_partitions
 from .stats import JoinStats
 
-Record = Tuple[Any, int, Any]
 Pair = Tuple[Any, Any]
 
 #: records per input chunk: the operator's input buffer (module docstring)
@@ -86,7 +89,8 @@ class HHJConfig:
 
 
 def _chunks(records: Iterable[Record]) -> Iterator[List[Record]]:
-    """Consecutive lists of up to CHUNK_RECORDS records."""
+    """Consecutive lists of up to CHUNK_RECORDS records (an input, or a
+    spill file's records for a later round, keys already normalized)."""
     it = iter(records)
     while chunk := list(islice(it, CHUNK_RECORDS)):
         yield chunk
@@ -239,14 +243,15 @@ class DynamicHybridHashJoin:
         for chunk in probe:
             stats.records_processed += len(chunk)
             pids = split_partitions([r[0] for r in chunk], p, level)
-            for (key, size, payload), pid in zip(chunk, pids):
+            for rec, pid in zip(chunk, pids):
+                key, size, payload = rec
                 if pid in probe_files:
                     buf = probe_bufs[pid]
                     if not buf.fits(size):
                         probe_files[pid].write_frame(buf.records, cfg.frame_bytes)
                         stats.record_write(1, buf.used, "probe", pid, level)
                         buf.clear()
-                    buf.insert(size, (key, payload))
+                    buf.insert(rec)
                 else:
                     stats.hash_probes += 1
                     for bpayload in table.get(key, ()):
@@ -273,8 +278,8 @@ class DynamicHybridHashJoin:
                 pfile.close()
                 continue
             self.stats.frames_read += b_frames + p_frames
-            b_records = self._spill_chunks(bfile)
-            p_records = self._spill_chunks(pfile)
+            b_records = _chunks(bfile.read_all())
+            p_records = _chunks(pfile.read_all())
             child_build, child_probe = b_records, p_records
             child_bf, child_pf = b_frames, p_frames
             child_swapped = swapped
@@ -292,18 +297,6 @@ class DynamicHybridHashJoin:
 
         self._collect_search_stats(partitions)
 
-    @staticmethod
-    def _spill_chunks(spill_file) -> Iterator[List[Record]]:
-        """Replay a spill file as chunks of (key, size, payload) records.
-
-        Frames store records as ``(size, (key, payload))`` — the key is
-        retained in the stored payload exactly so spilled data can be
-        re-partitioned in later rounds (see ``_insert``). It is already
-        normalized.
-        """
-        return _chunks((key, size, payload)
-                       for size, (key, payload) in spill_file.read_all())
-
     # -- record insertion (build side) -----------------------------------
     def _build(self, build: Iterator[List[Record]], partitions: List[Partition],
                pool: BufferPool, level: int) -> int:
@@ -312,30 +305,29 @@ class DynamicHybridHashJoin:
         build_bytes = 0
         for chunk in build:
             pids = split_partitions([r[0] for r in chunk], p, level)
-            for (key, size, payload), pid in zip(chunk, pids):
-                build_bytes += size
-                self._insert(key, pid, size, payload, partitions, pool, level)
+            for rec, pid in zip(chunk, pids):
+                build_bytes += rec[1]
+                self._insert(rec, pid, partitions, pool, level)
         return build_bytes
 
-    def _insert(self, key: Any, pid: int, size: int, payload: Any,
-                partitions: List[Partition], pool: BufferPool,
-                level: int) -> None:
+    def _insert(self, rec: Record, pid: int, partitions: List[Partition],
+                pool: BufferPool, level: int) -> None:
         cfg = self.cfg
+        size = rec[1]
         if size > cfg.frame_bytes:
             raise ValueError(
                 f"record of {size} B exceeds frame size {cfg.frame_bytes} B"
             )
         self.stats.records_processed += 1
         part = partitions[pid]
-        stored = (key, payload)  # spill files must retain the key for re-partitioning
 
         if part.spilled:
-            self._insert_spilled(part, size, stored, partitions, pool, level)
+            self._insert_spilled(part, rec, partitions, pool, level)
             return
 
         idx = part.insertion.find_frame(part.frames, size)
         if idx is not None:
-            part.frames[idx].insert(size, stored)
+            part.frames[idx].insert(rec)
             part.insertion.notify_inserted(idx, size, appended=False)
             return
         # need a new frame
@@ -353,16 +345,16 @@ class DynamicHybridHashJoin:
                                     self.stats, "build", level)
             if part.spilled:
                 # our own partition was victimized while freeing memory
-                self._insert_spilled(part, size, stored, partitions, pool, level)
+                self._insert_spilled(part, rec, partitions, pool, level)
                 return
         pool.allocate(1)
-        part.new_frame().insert(size, stored)
+        part.new_frame().insert(rec)
         part.insertion.notify_inserted(part.num_frames - 1, size, appended=True)
 
-    def _insert_spilled(self, part: Partition, size: int, stored: Any,
+    def _insert_spilled(self, part: Partition, rec: Record,
                         partitions: List[Partition], pool: BufferPool,
                         level: int) -> None:
-        ok = self.growth.insert_into_spilled(part, size, stored, pool,
+        ok = self.growth.insert_into_spilled(part, rec, pool,
                                              part.insertion, self.stats,
                                              "build", level)
         while not ok:
@@ -379,7 +371,7 @@ class DynamicHybridHashJoin:
                 self.growth.flush_spilled(part, pool, self.stats, "build", level)
             else:
                 raise MemoryError("spilled-partition insert cannot make progress")
-            ok = self.growth.insert_into_spilled(part, size, stored, pool,
+            ok = self.growth.insert_into_spilled(part, rec, pool,
                                                  part.insertion, self.stats,
                                                  "build", level)
 
@@ -410,17 +402,18 @@ class DynamicHybridHashJoin:
                 continue
             records = list(q.spill_file.read_all())
             ok = True
-            for size, stored in records:
+            for rec in records:
+                size = rec[1]
                 idx = q.insertion.find_frame(q.frames, size)
                 if idx is not None:
-                    q.frames[idx].insert(size, stored)
+                    q.frames[idx].insert(rec)
                     q.insertion.notify_inserted(idx, size, appended=False)
                     continue
                 if not pool.can_allocate(1):
                     ok = False
                     break
                 pool.allocate(1)
-                q.new_frame().insert(size, stored)
+                q.new_frame().insert(rec)
                 q.insertion.notify_inserted(q.num_frames - 1, size, appended=True)
             if ok:
                 q.spilled = False
@@ -460,7 +453,7 @@ class DynamicHybridHashJoin:
         table: dict = {}
         for q in resident:
             for f in q.frames:
-                for _, (key, payload) in f.records:
+                for key, _, payload in f.records:
                     table.setdefault(key, []).append(payload)
         return table
 

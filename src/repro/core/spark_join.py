@@ -58,16 +58,21 @@ def _output_schema(build: DataFrame, probe: DataFrame,
     return schema, [f.name for f in schema.fields]
 
 
-def _estimate_sizes(pdf: pd.DataFrame, size_column: Optional[str],
+def _estimate_sizes(pdf: pd.DataFrame, side: str, size_column: Optional[str],
                     frame_bytes: int) -> list:
     """Per-row byte sizes: the explicit size column, or a deep estimate.
 
-    An explicit size larger than a frame is an error, as it is for the
-    record-level operator. The estimate gives every row the frame's
-    average deep memory footprint (at least 64 B), clipped to the frame
-    size: it is a nominal charge, not a size the caller asked for.
+    A ``size_column`` that this ``side`` lacks is an error, so both sides
+    use explicit sizes or neither does. An explicit size larger than a
+    frame is an error, as it is for the record-level operator. The
+    estimate gives every row the frame's average deep memory footprint
+    (at least 64 B), clipped to the frame size: it is a nominal charge,
+    not a size the caller asked for.
     """
-    if size_column is not None and size_column in pdf.columns:
+    if size_column is not None:
+        if size_column not in pdf.columns:
+            raise ValueError(f"size column {size_column!r} is missing from "
+                             f"the {side} side")
         sizes = [int(s) for s in pdf[size_column].tolist()]
         largest = max(sizes, default=0)
         if largest > frame_bytes:
@@ -92,10 +97,10 @@ def _join_pair(bpdf: pd.DataFrame, ppdf: pd.DataFrame,
     empty. Returns the result and the operator's stats.
     """
     fb = cfg.frame_bytes
-    build = zip(bpdf[build_key].tolist(), _estimate_sizes(bpdf, size_column, fb),
-                range(len(bpdf)))
-    probe = zip(ppdf[probe_key].tolist(), _estimate_sizes(ppdf, size_column, fb),
-                range(len(ppdf)))
+    build = zip(bpdf[build_key].tolist(),
+                _estimate_sizes(bpdf, "build", size_column, fb), range(len(bpdf)))
+    probe = zip(ppdf[probe_key].tolist(),
+                _estimate_sizes(ppdf, "probe", size_column, fb), range(len(ppdf)))
     op = DynamicHybridHashJoin(cfg)
     pairs = op.run_collect(build, probe) if len(bpdf) and len(ppdf) else []
     idx = np.fromiter(chain.from_iterable(pairs), np.int64,
@@ -119,9 +124,9 @@ def dynamic_hhj_join(build: DataFrame, probe: DataFrame,
     ``num_spark_partitions`` is the cluster-level hash fan-out (defaults
     to the session's shuffle parallelism). ``size_column`` names an
     integer column carrying each record's nominal size in bytes (the
-    Wisconsin datasets provide one); a size above ``cfg.frame_bytes``
-    raises ``ValueError``. Otherwise sizes are estimated from the pandas
-    memory footprint.
+    Wisconsin datasets provide one); both sides must carry it, and a size
+    above ``cfg.frame_bytes`` raises ``ValueError``. Otherwise sizes are
+    estimated from the pandas memory footprint.
 
     Returns all build columns followed by all probe columns (collisions
     suffixed). Inner-join semantics: null keys never match.

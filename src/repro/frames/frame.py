@@ -7,18 +7,21 @@ matches the paper (records are at most one frame large).
 """
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Tuple
 
 DEFAULT_FRAME_BYTES = 32 * 1024  # 32 KB, the frame size used in §5.3.1
+
+Record = Tuple[Any, int, Any]  # (key, size, payload)
 
 
 class Frame:
     """One fixed-capacity frame holding whole records.
 
-    ``records`` stores ``(size, payload)`` pairs. In *stats-only* mode the
-    payload is ``None`` and only sizes are accounted; in *real-join* mode
-    payload is the record tuple. Either way byte accounting is identical,
-    so policy behaviour does not depend on the mode.
+    ``records`` holds the operator's ``(key, size, payload)`` records as
+    they were inserted: a record is stored once and moves between frames
+    and spill files as is, never re-wrapped. In *stats-only* mode the
+    payload is ``None``; byte accounting uses only the size, so policy
+    behaviour does not depend on the mode.
     """
 
     __slots__ = ("capacity", "used", "records")
@@ -28,7 +31,7 @@ class Frame:
             raise ValueError(f"frame capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.used = 0
-        self.records: List[tuple] = []
+        self.records: List[Record] = []
 
     @property
     def free(self) -> int:
@@ -42,18 +45,21 @@ class Frame:
 
     def fits(self, size: int) -> bool:
         """True if a record of ``size`` bytes fits in the remaining space."""
-        return size <= self.free
+        return self.used + size <= self.capacity
 
-    def insert(self, size: int, payload: Any = None) -> None:
-        """Place one record; raises if it does not fit (caller must check)."""
-        if size > self.free:
+    def insert(self, record: Record) -> None:
+        """Place one ``(key, size, payload)`` record, charging its size;
+        raises if it does not fit (caller must check)."""
+        size = record[1]
+        used = self.used + size
+        if used > self.capacity:
             raise ValueError(
                 f"record of {size} B does not fit in frame with {self.free} B free"
             )
         if size <= 0:
             raise ValueError(f"record size must be positive, got {size}")
-        self.used += size
-        self.records.append((size, payload))
+        self.used = used
+        self.records.append(record)
 
     def clear(self) -> None:
         """Empty the frame (used when a spilled partition's buffer flushes)."""

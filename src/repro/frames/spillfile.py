@@ -7,20 +7,21 @@ Two implementations behind one interface:
   matters and re-reading must be fast.
 * :class:`DiskSpillFile` pickles frame batches to a real temporary file —
   used by the operator inside Spark executors, so its spills are real
-  file I/O. There the records are ``(key, row index)`` pairs: the rows
+  file I/O. There the records are ``(key, size, row index)``: the rows
   themselves stay in the resident pandas frames (``core.spark_join``).
 
-Both count frames and bytes written so the I/O accounting (and hence the
-storage model) sees identical traces.
+Both move the operator's ``(key, size, payload)`` records as the frames
+hold them and count the frames written; the bytes are counted by
+``JoinStats`` and ``Partition.bytes_spilled``.
 """
 from __future__ import annotations
 
 import os
 import pickle
 import tempfile
-from typing import Any, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
-Record = Tuple[Any, int, Any]  # (key, size, payload)
+from .frame import Record
 
 
 class MemorySpillFile:
@@ -29,13 +30,11 @@ class MemorySpillFile:
     def __init__(self) -> None:
         self._records: List[Record] = []
         self.frames_written = 0
-        self.bytes_written = 0
 
     def write_frame(self, records: Sequence[Record], frame_bytes: int) -> None:
         """Append one frame's worth of records; accounts one frame of I/O."""
         self._records.extend(records)
         self.frames_written += 1
-        self.bytes_written += sum(r[0] for r in records)
 
     def read_all(self) -> Iterator[Record]:
         """Replay every spilled record in write order."""
@@ -52,12 +51,10 @@ class DiskSpillFile:
         fd, self.path = tempfile.mkstemp(prefix="repro-spill-", dir=dir)
         self._f = os.fdopen(fd, "w+b")
         self.frames_written = 0
-        self.bytes_written = 0
 
     def write_frame(self, records: Sequence[Record], frame_bytes: int) -> None:
-        pickle.dump(list(records), self._f, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dump(records, self._f, protocol=pickle.HIGHEST_PROTOCOL)
         self.frames_written += 1
-        self.bytes_written += sum(r[0] for r in records)
 
     def read_all(self) -> Iterator[Record]:
         self._f.flush()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from ..frames.frame import Record
 from ..frames.partition import Partition
 from ..frames.pool import BufferPool
 from ..core.stats import JoinStats, Phase
@@ -94,10 +95,11 @@ class GrowthPolicy:
         return n
 
     # -- hooks the operator calls ---------------------------------------
-    def insert_into_spilled(self, part: Partition, size: int, payload,
+    def insert_into_spilled(self, part: Partition, record: Record,
                             pool: BufferPool, insertion, stats: JoinStats,
                             phase: Phase, round_no: int) -> bool:
-        """Insert a record routed to an already-spilled partition.
+        """Insert a ``(key, size, payload)`` record routed to an
+        already-spilled partition.
 
         Returns True on success; False means memory pressure (caller must
         free memory and retry — only possible under G-S).
@@ -116,7 +118,7 @@ class NoGrowNoSteal(GrowthPolicy):
 
     name = "ng-ns"
 
-    def insert_into_spilled(self, part, size, payload, pool, insertion, stats,
+    def insert_into_spilled(self, part, record, pool, insertion, stats,
                             phase, round_no) -> bool:
         if part.num_frames == 0:
             if not pool.can_allocate(1):
@@ -125,12 +127,12 @@ class NoGrowNoSteal(GrowthPolicy):
             part.new_frame()
         assert part.num_frames == 1, "NG-NS invariant: one buffer per spilled partition"
         buf = part.frames[0]
-        if not buf.fits(size):
+        if not buf.fits(record[1]):
             # single-frame flush → random write (§6.1)
             part.flush_frames([buf])
             stats.record_write(1, buf.used, phase, part.pid, round_no)
             buf.clear()
-        buf.insert(size, payload)
+        buf.insert(record)
         return True
 
     def free_memory(self, partitions, ctx, pool, victim, stats,
@@ -150,16 +152,17 @@ class GrowSteal(GrowthPolicy):
 
     name = "g-s"
 
-    def insert_into_spilled(self, part, size, payload, pool, insertion, stats,
+    def insert_into_spilled(self, part, record, pool, insertion, stats,
                             phase, round_no) -> bool:
+        size = record[1]
         idx: Optional[int] = insertion.find_frame(part.frames, size) if part.frames else None
         if idx is not None:
-            part.frames[idx].insert(size, payload)
+            part.frames[idx].insert(record)
             insertion.notify_inserted(idx, size, appended=False)
             return True
         if pool.can_allocate(1):
             pool.allocate(1)
-            part.new_frame().insert(size, payload)
+            part.new_frame().insert(record)
             insertion.notify_inserted(part.num_frames - 1, size, appended=True)
             return True
         return False

